@@ -281,9 +281,9 @@ class _SeqVector:
 class _IdQueue:
     """FIFO of waiting sequence ids (the vLLM waiting queue).
 
-    A head pointer over a plain list makes :meth:`popleft` / :meth:`popleft_n`
-    O(1) amortised — the admission scan runs on every ``next_event_in`` /
-    ``advance`` loop, so head pops must not be ``list.pop(0)``.  Preempted
+    A head pointer over a plain list makes :meth:`popleft` O(1) amortised —
+    admission pops the head on every ``next_event_in`` / ``advance`` loop
+    that admits, so head pops must not be ``list.pop(0)``.  Preempted
     sequences go back to the *front* (:meth:`appendleft`, vLLM recompute
     order) by reclaiming the dead prefix when one exists.
     """
@@ -319,21 +319,9 @@ class _IdQueue:
         self._compact()
         return item
 
-    def popleft_n(self, count: int) -> None:
-        self._head += count
-        self._compact()
-
     def remove(self, seq_id: int) -> None:
         index = self._items.index(seq_id, self._head)
         del self._items[index]
-
-    def as_array(self) -> np.ndarray:
-        """The queued ids in FIFO order as an int64 array (a copy)."""
-        return np.array(self._items[self._head:], dtype=np.int64)
-
-    def head_array(self, count: int) -> np.ndarray:
-        """The first ``count`` queued ids in FIFO order (a copy)."""
-        return np.array(self._items[self._head:self._head + count], dtype=np.int64)
 
     def _compact(self) -> None:
         if self._head > 64 and self._head * 2 >= len(self._items):
@@ -669,84 +657,38 @@ class ReplicaGenerationState:
     def _try_admit(self) -> None:
         """Admit waiting sequences head-first while cache and concurrency allow.
 
-        A scalar head check keeps the steady state (cache full, nothing
-        admissible) O(1); when the head fits, one vectorized prefix scan over
-        the whole waiting queue decides every admission of this call at once
-        — bit-identical to the scalar admit-one-recheck loop because
-        admission is strictly FIFO and each admission consumes exactly the
-        blocks the prefix sum accounts for.
+        Admission is strictly FIFO: admit the head, then re-check the next
+        head against the cache, until concurrency runs out or the next head
+        does not fit.  The ``_admit_blocked`` flag keeps the steady state
+        (cache full, nothing admissible) O(1) until a clearing event.
         """
         queued = self._queued
         if not queued or self._admit_blocked:
             return
         capacity = self.max_concurrency - self._dec.n - self._env.n
-        if capacity <= 0:
-            self._admit_blocked = True
-            return
         kvcache = self.kvcache
         lookahead = self.admission_lookahead_tokens
-        head_context = int(self._a_ctx[self._slots[queued.head()]])
-        if not kvcache.can_allocate(head_context + lookahead):
-            self._admit_blocked = True
-            return
-        # Never scan past what concurrency allows: the steady state admits a
-        # handful of sequences per call regardless of queue depth.
         limit = min(len(queued), capacity)
-        if limit <= 4:
-            # Tiny admission: the scalar admit-one-recheck loop beats the
-            # array set-up (the vectorized path below is its prefix-scan
-            # formulation — same FIFO decision, same allocation order).
-            admitted = 0
-            while admitted < limit:
-                seq_id = queued.head()
-                slot = self._slots[seq_id]
-                context = int(self._a_ctx[slot])
-                if admitted and not kvcache.can_allocate(context + lookahead):
-                    break
-                queued.popleft()
-                row = kvcache.allocate(seq_id, context + 1)
-                self._a_status[slot] = _ST_DECODING
-                self._dec.append(seq_id, slot, row)
-                if self._a_reprefill[slot]:
-                    self.stats.reprefill_tokens += context
-                    self._a_reprefill[slot] = False
-                else:
-                    self.stats.prompt_tokens_prefilled += int(self._a_prompt[slot])
-                admitted += 1
-            self._mutation += admitted
-            # Either concurrency is exhausted or the next head does not fit;
-            # a clearing event re-arms the scan.
-            self._admit_blocked = True
-            return
-        ids = queued.head_array(limit)
-        slots = np.fromiter(
-            (self._slots[int(i)] for i in ids), dtype=np.int64, count=len(ids)
-        )
-        contexts = self._a_ctx[slots]
-        alloc_blocks = kvcache.blocks_for_many(contexts + 1)
-        need_blocks = kvcache.blocks_for_many(contexts + lookahead)
-        used_before = kvcache.used_blocks + np.concatenate(
-            ([0], np.cumsum(alloc_blocks[:-1]))
-        )
-        fits = used_before + need_blocks <= kvcache.config.total_blocks
-        count = len(ids) if fits.all() else int(np.argmin(fits))
-        count = min(count, capacity)
-        if count <= 0:
-            self._admit_blocked = True
-            return
-        admit_ids = ids[:count]
-        admit_slots = slots[:count]
-        queued.popleft_n(count)
-        rows = kvcache.allocate_many(admit_ids, contexts[:count] + 1)
-        self._a_status[admit_slots] = _ST_DECODING
-        self._dec.extend(admit_ids, admit_slots, rows)
-        reprefill = self._a_reprefill[admit_slots]
-        self.stats.reprefill_tokens += int(contexts[:count][reprefill].sum())
-        self.stats.prompt_tokens_prefilled += int(
-            self._a_prompt[admit_slots[~reprefill]].sum()
-        )
-        self._a_reprefill[admit_slots] = False
-        self._mutation += count
+        admitted = 0
+        while admitted < limit:
+            seq_id = queued.head()
+            slot = self._slots[seq_id]
+            context = int(self._a_ctx[slot])
+            if not kvcache.can_allocate(context + lookahead):
+                break
+            queued.popleft()
+            row = kvcache.allocate(seq_id, context + 1)
+            self._a_status[slot] = _ST_DECODING
+            self._dec.append(seq_id, slot, row)
+            if self._a_reprefill[slot]:
+                self.stats.reprefill_tokens += context
+                self._a_reprefill[slot] = False
+            else:
+                self.stats.prompt_tokens_prefilled += int(self._a_prompt[slot])
+            admitted += 1
+        self._mutation += admitted
+        # Either concurrency is exhausted or the next head does not fit; a
+        # clearing event re-arms the scan.
         self._admit_blocked = True
 
     def _preempt_one(self) -> bool:
@@ -924,119 +866,60 @@ class ReplicaGenerationState:
         if self.trace_samples is not None:
             self.trace_samples.append((self.clock, generated))
         finished_positions = np.flatnonzero(new_seg == 0)
-        if len(finished_positions) == 1:
-            self._finish_one(finished_positions.item(0), completed_now)
-            self._mutation += 1
-        elif len(finished_positions):
-            self._finish_segments(finished_positions, completed_now)
+        if len(finished_positions):
+            self._finish_segments(finished_positions.tolist(), completed_now)
             self._mutation += 1
         if self._queued and not self._admit_blocked:
             self._try_admit()
 
     def _finish_segments(
-        self, positions: np.ndarray, completed_now: List[Trajectory]
+        self, positions: List[int], completed_now: List[Trajectory]
     ) -> None:
-        """Batched control tail for sequences whose segment just ended.
+        """Control tail for the decoding rows whose segment just ended.
 
-        Splits the finished positions into the last-turn batch (KV rows are
-        recycled in one :meth:`KVCache.free_many` call, trajectories
-        finalised) and the turn-advance batch (segment counters reset and
-        env-wait transitions applied as vector gathers/scatters); per-object
-        Python survives only on completed trajectories, which each pass here
-        exactly once.
+        Walks the ascending decode-set ``positions``: a row on its last turn
+        frees its KV blocks and finalises its trajectory; any other row moves
+        to its next turn, leaving the decode set for the env-wait set when an
+        environment interaction follows.  The rows that leave the decode set
+        are deleted in one :meth:`_SeqVector.delete_positions` call at the
+        end, so positions stay valid throughout the walk.
         """
         dec = self._dec
-        if len(positions) == 1:
-            self._finish_one(int(positions[0]), completed_now)
-            return
-        positions = np.asarray(positions)
-        slots = dec.slots[positions]
-        turns = self._a_turn[slots]
-        offsets = self._a_sched_off[slots]
-        last = turns + 1 == self._a_nturns[slots]
-        env_latencies = self._sched_env[offsets + turns]
-        if self._env_slowdown != 1.0:
-            env_latencies = env_latencies * self._env_slowdown
-
-        done_positions = positions[last]
-        if len(done_positions):
-            done_ids = dec.ids[done_positions]
-            self.kvcache.free_many(done_ids.tolist())
-            self._admit_blocked = False
-            clock = self.clock
-            for seq_id in done_ids.tolist():
+        leaving: List[int] = []
+        for position in positions:
+            slot = dec.slots.item(position)
+            turn = self._a_turn.item(slot)
+            offset = self._a_sched_off.item(slot)
+            seq_id = dec.ids.item(position)
+            if turn + 1 == self._a_nturns.item(slot):
+                self.kvcache.free(seq_id)
+                self._admit_blocked = False
                 seq = self._sequences[seq_id]
                 self._sync_sequence(seq_id)
                 del self._sequences[seq_id]
                 self._release_slot(seq_id)
                 seq.status = SequenceStatus.DONE
                 trajectory = seq.trajectory
-                trajectory.finish_time = clock
+                trajectory.finish_time = self.clock
                 trajectory.replica_id = self.replica_id
-                trajectory.turns_done = seq.schedule.num_turns
+                trajectory.turns_done = turn + 1
                 completed_now.append(trajectory)
-            self.stats.trajectories_completed += len(done_positions)
-
-        advancing = ~last
-        if advancing.any():
-            adv_slots = slots[advancing]
-            next_turns = turns[advancing] + 1
-            self._a_turn[adv_slots] = next_turns
-            self._a_done_turn[adv_slots] = 0
-            self._a_seg_rem[adv_slots] = self._sched_seg[offsets[advancing] + next_turns]
-            waiting = env_latencies[advancing] > 0
-            if waiting.any():
-                wait_positions = positions[advancing][waiting]
-                wait_slots = dec.slots[wait_positions]
-                self._a_env[wait_slots] = self.clock + env_latencies[advancing][waiting]
-                self._a_status[wait_slots] = _ST_ENV_WAIT
-                self._env.extend(
-                    dec.ids[wait_positions], wait_slots, dec.rows[wait_positions]
-                )
-                done_positions = np.concatenate((done_positions, wait_positions))
-
-        if len(done_positions):
-            dec.delete_positions(done_positions)
-
-    def _finish_one(self, position: int, completed_now: List[Trajectory]) -> None:
-        """Scalar fast path of :meth:`_finish_segments` for a lone finisher.
-
-        A decode window usually ends exactly one segment; the batched
-        gather/scatter machinery costs more than it saves there.  Decision
-        logic and side-effect order mirror the batched path one-to-one.
-        """
-        dec = self._dec
-        slot = dec.slots.item(position)
-        turn = self._a_turn.item(slot)
-        offset = self._a_sched_off.item(slot)
-        seq_id = dec.ids.item(position)
-        if turn + 1 == self._a_nturns.item(slot):
-            self.kvcache.free(seq_id)
-            self._admit_blocked = False
-            seq = self._sequences[seq_id]
-            self._sync_sequence(seq_id)
-            del self._sequences[seq_id]
-            self._release_slot(seq_id)
-            seq.status = SequenceStatus.DONE
-            trajectory = seq.trajectory
-            trajectory.finish_time = self.clock
-            trajectory.replica_id = self.replica_id
-            trajectory.turns_done = turn + 1
-            completed_now.append(trajectory)
-            self.stats.trajectories_completed += 1
-            dec.delete_positions((position,))
-            return
-        self._a_turn[slot] = turn + 1
-        self._a_done_turn[slot] = 0
-        self._a_seg_rem[slot] = self._sched_seg.item(offset + turn + 1)
-        env_latency = self._sched_env.item(offset + turn)
-        if self._env_slowdown != 1.0:
-            env_latency *= self._env_slowdown
-        if env_latency > 0:
-            self._a_env[slot] = self.clock + env_latency
-            self._a_status[slot] = _ST_ENV_WAIT
-            self._env.append(seq_id, slot, dec.rows.item(position))
-            dec.delete_positions((position,))
+                self.stats.trajectories_completed += 1
+                leaving.append(position)
+                continue
+            self._a_turn[slot] = turn + 1
+            self._a_done_turn[slot] = 0
+            self._a_seg_rem[slot] = self._sched_seg.item(offset + turn + 1)
+            env_latency = self._sched_env.item(offset + turn)
+            if self._env_slowdown != 1.0:
+                env_latency *= self._env_slowdown
+            if env_latency > 0:
+                self._a_env[slot] = self.clock + env_latency
+                self._a_status[slot] = _ST_ENV_WAIT
+                self._env.append(seq_id, slot, dec.rows.item(position))
+                leaving.append(position)
+        if leaving:
+            dec.delete_positions(leaving)
 
     def enable_trace_sampling(self) -> None:
         """Arm the decode loop's trace-sample buffer (idempotent)."""
@@ -1180,8 +1063,8 @@ class ReplicaGenerationState:
 class ReplicaBatchView:
     """Fused cross-replica stepping view over many replicas' decode state.
 
-    Barrier drains (and grouped fleet services) advance replicas that are
-    mutually independent: they interact only at the join.  This view stacks
+    Barrier drains advance replicas that are mutually independent: they
+    interact only at the join.  This view stacks
     every *fuse-eligible* replica's per-sequence decode state into one
     cross-replica SoA — segment remainders, generated tokens, env timers and
     KV token counts concatenated lane-major — and sweeps all lanes together
@@ -1198,7 +1081,7 @@ class ReplicaBatchView:
     recycling, completion order) are preserved exactly.
 
     Lanes that fail the eligibility gates stay *resident*: their calls route
-    straight to the underlying engine, one replica at a time, so the grouped
+    straight to the underlying engine, one replica at a time, so the fused
     kernel degrades to exactly the per-replica call sequence whenever
     interleaving constraints bind.  A lane is fused only if
 
@@ -1372,11 +1255,6 @@ class ReplicaBatchView:
     @property
     def num_fused(self) -> int:
         return int((self._lane_k >= 0).sum())
-
-    @property
-    def all_fused(self) -> bool:
-        """True if every lane is serviced by the grouped kernel."""
-        return bool((self._lane_k >= 0).all())
 
     def lane_is_fused(self, pos: int) -> bool:
         return bool(self._lane_k[pos] >= 0)

@@ -412,9 +412,9 @@ class ScalarReplicaGenerationState:
 class ScalarReplicaBatchView:
     """Scalar oracle for :class:`repro.rollout.generation.ReplicaBatchView`.
 
-    Grouped stepping is defined as a pure performance transform: servicing a
+    Fused stepping is defined as a pure performance transform: draining a
     set of mutually independent replicas together must be observationally
-    identical to servicing them one at a time in lane order.  This mirror
+    identical to draining them one at a time in lane order.  This mirror
     *is* that definition — every batch call routes to the underlying engine,
     replica by replica — so the equivalence fuzzer can drive the fused SoA
     view and this one through identical call sequences and assert bit-equal
@@ -429,10 +429,6 @@ class ScalarReplicaBatchView:
     @property
     def num_fused(self) -> int:
         return 0
-
-    @property
-    def all_fused(self) -> bool:
-        return False
 
     def lane_is_fused(self, pos: int) -> bool:
         return False

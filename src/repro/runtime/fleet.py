@@ -21,8 +21,9 @@ fleet process per scenario:
   :func:`replica_driver` processes.  Per-replica wake-ups live in a
   :class:`FleetState` SoA block (packed absolute wake times + FIFO order
   stamps mirroring engine event ids); the stepper sleeps until the fleet's
-  earliest wake (``FleetState.next_event_in``) and services due replicas in
-  exactly the (time, order) sequence the engine heap would have used.
+  earliest stored wake (``FleetState.next_wake``) and services due replicas
+  one at a time, in exactly the (time, order) sequence the engine heap would
+  have used.
   External actors still interact per replica: ``touch`` marks the replica
   dirty and delivers **one** interrupt for the whole fleet, ``notify_refill``
   wakes waiters in wait order, and ``catch_up`` remains a synchronous call.
@@ -49,12 +50,9 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..rollout.generation import ReplicaBatchView, ReplicaGenerationState
+from ..rollout.generation import _EPS, ReplicaBatchView, ReplicaGenerationState
 from ..sim.engine import Environment, Interrupt, Process
 from ..types import Trajectory
-
-#: Numerical slack when comparing simulated times (mirrors the replica engine).
-_EPS = 1e-9
 
 #: Initial replica capacity of the FleetState SoA block.
 _INITIAL_REPLICAS = 16
@@ -160,13 +158,6 @@ class FleetState:
             heapq.heappop(heap)  # superseded or disarmed entry
         return None
 
-    def next_event_in(self, now: float) -> Optional[float]:
-        """Time until the fleet's earliest armed wake-up (None if none)."""
-        entry = self._peek()
-        if entry is None:
-            return None
-        return entry[0] - now
-
     def next_wake(self) -> Optional[float]:
         """Absolute time of the fleet's earliest armed wake-up (None if none).
 
@@ -192,32 +183,6 @@ class FleetState:
         index = entry[2]
         self.wake[index] = math.inf
         return index
-
-    def pop_due_batch(self, now: float) -> List[int]:
-        """Pop and disarm every member due at the earliest wake time ``<= now``.
-
-        Returns dense indices in ``(wake time, order stamp)`` order — engine
-        FIFO for members whose wakes tie at the *exact* same float instant —
-        or an empty list when nothing is due.  Only exact ties are grouped:
-        a member due one ulp later stays armed, because the engine heap would
-        have interleaved arbitrary other events between the two wake-ups.
-        Superseded and disarmed heap entries are skipped lazily, exactly as
-        :meth:`pop_due` skips them.
-        """
-        entry = self._peek()
-        if entry is None or entry[0] > now:
-            return []
-        at = entry[0]
-        due: List[int] = []
-        while True:
-            entry = self._peek()
-            if entry is None or entry[0] != at:
-                break
-            heapq.heappop(self._heap)
-            index = entry[2]
-            self.wake[index] = math.inf
-            due.append(index)
-        return due
 
 
 # -- batch-synchronous fleet barrier ----------------------------------------
@@ -479,12 +444,9 @@ class FleetStepper:
             self._poked = False
             while self._service_queue:
                 self._service(self._service_queue.pop(0))
-            due = state.pop_due_batch(env.now)
-            if due:
-                if len(due) > 1:
-                    self._service_group([state.id_at(i) for i in due])
-                else:
-                    self._service(state.id_at(due[0]))
+            due = state.pop_due(env.now)
+            if due is not None:
+                self._service(state.id_at(due))
                 continue
             if self._service_queue:
                 continue
@@ -500,64 +462,6 @@ class FleetStepper:
                     yield env.timeout_until(wake)
                 except Interrupt:
                     continue
-
-    def _service_group(self, replica_ids: List[int]) -> None:
-        """Service several members due at the same exact wake instant.
-
-        All members were popped from the heap in ``(at, stamp)`` order — the
-        order :meth:`FleetState.pop_due` would have yielded them one at a
-        time.  When every member is fusable the elapsed-time consumption
-        (``advance(now - clock)``) runs through one grouped
-        :class:`~repro.rollout.generation.ReplicaBatchView` sweep; the
-        per-member driver-loop continuation (``on_advance`` delivery, refill,
-        park, re-arm) then replays in FIFO member order with the service
-        queue drained between members, exactly as the per-replica servicing
-        would have interleaved it.  Whenever interleaving constraints bind —
-        tracing armed, pending interrupts, a retired or caught-up member, or
-        any lane the view refuses to fuse (waiting queue, slowdown, KV pool
-        the sweep could overflow) — the whole group falls back to sequential
-        per-member servicing.
-        """
-        env = self.env
-        fleet = self.fleet
-
-        def sequential() -> None:
-            for replica_id in replica_ids:
-                self._service(replica_id)
-                while self._service_queue:
-                    self._service(self._service_queue.pop(0))
-
-        if env.tracer.enabled or self._service_queue:
-            sequential()
-            return
-        replicas = []
-        for replica_id in replica_ids:
-            if self._rstate.get(replica_id, _RETIRED) != _RUNNING:
-                sequential()
-                return
-            replica = fleet.replica(replica_id)
-            if replica is None or env.now - replica.clock <= _EPS:
-                sequential()
-                return
-            replicas.append(replica)
-        view = ReplicaBatchView(replicas, fuse=True)
-        if not view.all_fused:
-            view.settle()
-            sequential()
-            return
-        dts = [env.now - replica.clock for replica in replicas]
-        done_lists = view.advance_many(list(range(len(replicas))), dts)
-        view.settle()
-        for replica_id, replica, done in zip(replica_ids, replicas, done_lists):
-            self._servicing = replica_id
-            try:
-                fleet.on_advance(replica, done)
-            finally:
-                self._servicing = None
-            if self._rstate.get(replica_id, _RETIRED) == _RUNNING:
-                self._service(replica_id)
-            while self._service_queue:
-                self._service(self._service_queue.pop(0))
 
     def _service(self, replica_id: int) -> None:
         """Run one driver-loop pass for ``replica_id`` until it sleeps."""

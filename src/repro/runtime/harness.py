@@ -33,13 +33,10 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..rollout.generation import ReplicaGenerationState
+from ..rollout.generation import _EPS, ReplicaGenerationState
 from ..sim.engine import Environment, Event, Interrupt, Process
 from ..types import Trajectory
 from .fleet import FleetStepper, fleet_generation_barrier, stepping_mode
-
-#: Numerical slack when comparing simulated times (mirrors the replica engine).
-_EPS = 1e-9
 
 
 def _flush_decode_samples(tracer, replica: ReplicaGenerationState,

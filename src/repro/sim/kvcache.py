@@ -184,43 +184,6 @@ class KVCache:
         self._used_blocks += grow
         self.peak_blocks = max(self.peak_blocks, self._used_blocks)
 
-    def allocate_many(self, seq_ids: Sequence[int], tokens: np.ndarray) -> np.ndarray:
-        """Batch :meth:`allocate`: reserve space for many new sequences at once.
-
-        Returns the stable row handle of each sequence, in input order.  The
-        error semantics match a scalar loop exactly — duplicate ids and the
-        first over-allocating sequence raise after every *earlier* sequence in
-        the batch has been applied — and rows are recycled from the free list
-        in the same order a scalar loop would pop them, so the ledger layout
-        is bit-identical to per-sequence allocation.
-        """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size == 0:
-            return np.empty(0, dtype=np.int64)
-        blocks = self.blocks_for_many(tokens)
-        total = int(blocks.sum())
-        if (
-            self._used_blocks + total > self.config.total_blocks
-            or any(seq_id in self._row_of for seq_id in seq_ids)
-        ):
-            # Replicate the scalar error semantics exactly: apply sequences in
-            # order until the one that fails, then raise.
-            for seq_id, count in zip(seq_ids, tokens):
-                self.allocate(int(seq_id), int(count))
-            raise AssertionError("unreachable: scalar fallback must fail")
-        rows = np.empty(len(tokens), dtype=np.int64)
-        for index, seq_id in enumerate(seq_ids):
-            if not self._free_rows:
-                self._grow_ledger()
-            row = self._free_rows.pop()
-            rows[index] = row
-            self._row_of[int(seq_id)] = row
-        self._tokens[rows] = tokens
-        self._blocks[rows] = blocks
-        self._used_blocks += total
-        self.peak_blocks = max(self.peak_blocks, self._used_blocks)
-        return rows
-
     def free(self, seq_id: int) -> int:
         """Release the sequence's blocks, returning how many were freed."""
         row = self._row_of.pop(seq_id, None)

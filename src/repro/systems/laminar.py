@@ -59,9 +59,9 @@ from ..config import SystemConfig
 from ..data.partial_response_pool import PartialResponsePool
 from ..metrics.results import StageBreakdown, SystemRunResult
 from ..metrics.timeline import EventCounterSeries, TimeSeries
-from ..rollout.generation import ReplicaGenerationState
+from ..rollout.generation import _EPS, ReplicaGenerationState
 from ..runtime.components import CompletionPipeline, RelayWeightSync
-from ..runtime.harness import ReplicaFleet, _EPS
+from ..runtime.harness import ReplicaFleet
 from ..sim.cluster import GPUS_PER_MACHINE
 from ..sim.engine import Environment, Interrupt
 from ..types import Trajectory

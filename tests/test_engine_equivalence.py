@@ -39,8 +39,15 @@ def make_engines(blocks=512, max_concurrency=64):
     return ScalarReplicaGenerationState(**kwargs), ReplicaGenerationState(**kwargs)
 
 
-def make_states(seed: int, count: int, start_id: int, multi_turn=True):
-    """Deterministic workload fabrication; call twice for mirrored copies."""
+def make_states(seed: int, count: int, start_id: int, multi_turn=True,
+                tied_segment=None):
+    """Deterministic workload fabrication; call twice for mirrored copies.
+
+    With ``tied_segment`` every sequence's first segment has that length, and
+    the sequences cycle through the three ways a segment can end: last turn,
+    env wait, and straight into the next turn (zero env latency).  Admitted
+    together, the cohort finishes its first segments in one decode window.
+    """
     rng = np.random.default_rng(seed)
     states = []
     for i in range(count):
@@ -48,6 +55,16 @@ def make_states(seed: int, count: int, start_id: int, multi_turn=True):
         segments = [int(rng.integers(5, 120)) for _ in range(num_turns)]
         env_latencies = [float(rng.uniform(0.5, 10.0)) for _ in range(num_turns - 1)]
         env_latencies.append(0.0)
+        if tied_segment is not None:
+            outcome = i % 3  # 0: last turn, 1: env wait, 2: next turn
+            if outcome == 0:
+                segments, env_latencies = segments[:1], [0.0]
+            elif num_turns == 1:
+                segments.append(int(rng.integers(5, 120)))
+                env_latencies.insert(0, float(rng.uniform(0.5, 10.0)))
+            if outcome == 2:
+                env_latencies[0] = 0.0
+            segments[0] = tied_segment
         prompt = Prompt(
             prompt_id=start_id + i, group_id=0,
             prompt_tokens=int(rng.integers(16, 256)),
@@ -106,22 +123,25 @@ def assert_completions_identical(scalar_done, vector_done):
 
 
 # --------------------------------------------------------------------------- fuzz
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
-def test_fuzzed_random_workload_is_bit_identical(seed):
-    """Random multi-turn workloads + pulls + stalls: step-for-step identity."""
-    scalar, vector = make_engines(blocks=384, max_concurrency=48)
+def fuzz_engines(seed, scalar, vector, opening):
+    """Drive both engines through one seeded random op stream, step for step.
+
+    ``opening(add_batch, op_rng)`` lands the first work; the op stream then mixes
+    event-aligned and unaligned windows, repack pulls and re-adds, stalls,
+    weight-version bumps, re-prefill storms and fresh prompts.
+    """
     op_rng = np.random.default_rng(1000 + seed)
     next_id = 0
     parked_scalar, parked_vector = [], []  # repack-pulled, waiting to re-add
     version = 0
 
-    def add_batch(count):
+    def add_batch(count, **kwargs):
         nonlocal next_id
-        scalar.add_sequences(make_states(seed * 971 + next_id, count, next_id))
-        vector.add_sequences(make_states(seed * 971 + next_id, count, next_id))
+        scalar.add_sequences(make_states(seed * 971 + next_id, count, next_id, **kwargs))
+        vector.add_sequences(make_states(seed * 971 + next_id, count, next_id, **kwargs))
         next_id += count
 
-    add_batch(int(op_rng.integers(8, 20)))
+    opening(add_batch, op_rng)
     for _ in range(240):
         op = op_rng.random()
         if op < 0.62:  # drive to (or through) the next internal event
@@ -185,6 +205,43 @@ def test_fuzzed_random_workload_is_bit_identical(seed):
         sorted(done_v, key=lambda t: t.traj_id),
     )
     assert_engines_identical(scalar, vector)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_fuzzed_random_workload_is_bit_identical(seed):
+    """Random multi-turn workloads + pulls + stalls: step-for-step identity.
+
+    Two pool geometries: a tight one that forces queueing and preemption,
+    and a wide one whose opening ``add_sequences`` admits 72 sequences in
+    one ``_try_admit`` call.  The wide opening leads with a tied cohort
+    whose first segments all end in the first decode window, so one
+    segment-finish call handles last-turn, env-wait and next-turn rows.
+    """
+    fuzz_engines(seed, *make_engines(blocks=384, max_concurrency=48),
+                 opening=lambda add, op_rng: add(int(op_rng.integers(8, 20))))
+
+    scalar, vector = make_engines(blocks=4096, max_concurrency=96)
+    cohort = 15
+
+    def wide_opening(add, _op_rng):
+        add(cohort, tied_segment=3)  # shorter than any fabricated segment (>= 5)
+        add(72 - cohort)
+        assert vector.num_decoding == scalar.num_decoding == 72
+        assert vector.num_queued == 0
+        done_s = scalar.advance(scalar.next_event_in())
+        done_v = vector.advance(vector.next_event_in())
+        assert_completions_identical(done_s, done_v)
+        states = {s.seq_id: s for s in vector.sequences()}
+        next_turn = [i for i in range(cohort)
+                     if i in states and states[i].status == "decoding"]
+        env_wait = [i for i in range(cohort)
+                    if i in states and states[i].status == "env_wait"]
+        assert len(done_v) == cohort // 3
+        assert len(env_wait) == len(next_turn) == cohort // 3
+        assert all(states[i].turn_index == 1 for i in next_turn + env_wait)
+        assert_engines_identical(scalar, vector)
+
+    fuzz_engines(seed, scalar, vector, opening=wide_opening)
 
 
 def test_preemption_storm_is_bit_identical():

@@ -280,9 +280,10 @@ def test_chaos_storm_bit_identity(seed):
     assert reference.iterations  # training survived the storm
 
 
-# --------------------------------------------------------------------------- pop_due_batch
-def test_pop_due_batch_ties_supersession_and_disarm():
-    """Exact-tie grouping over a heap laced with superseded/disarmed entries."""
+# --------------------------------------------------------------------------- pop_due
+def test_pop_due_ties_supersession_and_disarm():
+    """Exact-tie members pop one at a time in (wake, stamp) FIFO order over a
+    heap laced with superseded and disarmed entries."""
     import math
 
     from repro.runtime.fleet import FleetState
@@ -291,106 +292,78 @@ def test_pop_due_batch_ties_supersession_and_disarm():
     for replica_id in range(6):
         state.add_replica(replica_id)
     at = 10.0 + 1e-3  # an inexact float: ties must match bit-for-bit anyway
+    later = math.nextafter(at, math.inf)
 
     state.schedule(0, at)          # stamp 0
     state.schedule(1, at)          # stamp 1
     state.schedule(2, at)          # stamp 2 — superseded below
     state.schedule(3, at)          # stamp 3 — disarmed below
-    state.schedule(4, math.nextafter(at, math.inf))  # one ulp later: not a tie
+    state.schedule(4, later)       # one ulp later: not a tie
     state.schedule(2, at)          # stamp 5: member 2 re-armed, moves to FIFO back
     state.clear(3)                 # member 3 disarmed: stale heap entry remains
 
     # Nothing due before the tie instant.
-    assert state.pop_due_batch(math.nextafter(at, 0.0)) == []
+    assert state.pop_due(math.nextafter(at, 0.0)) is None
+    assert state.next_wake() == at
 
-    # The tie group pops in (wake, stamp) order: 0, 1, then 2's re-arm stamp.
-    # Member 3's entry is skipped lazily; member 4 (one ulp later) stays armed.
-    assert state.pop_due_batch(at + 1.0) == [0, 1, 2]
+    # The tie pops in (wake, stamp) order: 0, 1, then 2's re-arm stamp.
+    # Member 3's entry is skipped lazily; member 4 (one ulp later) stays
+    # armed until every tied member is out.
+    assert state.pop_due(at + 1.0) == 0
+    assert state.pop_due(at + 1.0) == 1
+    assert state.pop_due(at + 1.0) == 2
     assert all(math.isinf(state.wake[i]) for i in (0, 1, 2, 3))
-    assert not math.isinf(state.wake[4])
+    assert state.wake[4] == later
+    assert state.next_wake() == later
 
-    # The next batch is the one-ulp-later singleton.
-    assert state.pop_due_batch(at + 1.0) == [4]
-    assert state.pop_due_batch(at + 1.0) == []
+    # The one-ulp-later member comes next, then nothing.
+    assert state.pop_due(at) is None
+    assert state.pop_due(at + 1.0) == 4
+    assert state.pop_due(at + 1.0) is None
+    assert state.next_wake() is None
 
 
-def test_pop_due_batch_matches_repeated_pop_due():
-    """Batch pops replay the exact (time, FIFO) sequence of single pops."""
-    import math
-
+def test_pop_due_replays_wake_stamp_order():
+    """Random arm/re-arm/disarm traffic: single pops come out in exactly the
+    (wake, last stamp) order of the members still armed."""
     from repro.runtime.fleet import FleetState
 
     rng = np.random.default_rng(42)
-    single, batch = FleetState(), FleetState()
+    state = FleetState()
     for replica_id in range(12):
-        single.add_replica(replica_id)
-        batch.add_replica(replica_id)
+        state.add_replica(replica_id)
     times = [1.0, 1.0 + 2 ** -40, 2.5, 7.0 / 3.0]
-    for _ in range(60):
+    armed = {}  # index -> (wake, stamp) of its live entry
+    for stamp in range(60):
         index = int(rng.integers(0, 12))
         if rng.random() < 0.15:
-            single.clear(index)
-            batch.clear(index)
+            state.clear(index)
+            armed.pop(index, None)
         else:
             at = float(rng.choice(times))
-            single.schedule(index, at)
-            batch.schedule(index, at)
-    now = 10.0
-    singles = []
-    while True:
-        index = single.pop_due(now)
-        if index is None:
-            break
-        singles.append(index)
-    batches = []
-    while True:
-        group = batch.pop_due_batch(now)
-        if not group:
-            break
-        # Every member of one batch shares one exact wake instant by contract.
-        batches.extend(group)
-    assert batches == singles
-    assert np.array_equal(single.wake[:12], batch.wake[:12])
+            state.schedule(index, at)
+            armed[index] = (at, stamp)
+    expected = sorted(armed, key=armed.__getitem__)
+    popped = []
+    for now in (2.0, 10.0):  # a cut between ties, then everything
+        while True:
+            index = state.pop_due(now)
+            if index is None:
+                break
+            assert armed[index][0] <= now
+            popped.append(index)
+    assert popped == expected
+    assert np.isinf(state.wake[:12]).all()
 
 
-# --------------------------------------------------------------------------- grouped servicing
-@pytest.fixture
-def grouped_probe(monkeypatch):
-    """Instrument FleetStepper._service_group: count fused vs fallback paths."""
-    import repro.runtime.fleet as fleet_mod
-
-    record = {"groups": 0, "fused": 0, "fallback": 0, "max_group": 0}
-    original_group = fleet_mod.FleetStepper._service_group
-    original_view = fleet_mod.ReplicaBatchView
-    views = []
-
-    class RecordingView(original_view):
-        def __init__(self, replicas, fuse=True):
-            super().__init__(replicas, fuse=fuse)
-            views.append(self.all_fused)
-
-    def probed_group(self, replica_ids):
-        record["groups"] += 1
-        record["max_group"] = max(record["max_group"], len(replica_ids))
-        before = len(views)
-        original_group(self, replica_ids)
-        created = views[before:]
-        if created and created[0]:
-            record["fused"] += 1
-        else:
-            record["fallback"] += 1
-
-    monkeypatch.setattr(fleet_mod, "ReplicaBatchView", RecordingView)
-    monkeypatch.setattr(fleet_mod.FleetStepper, "_service_group", probed_group)
-    return record
-
-
+# --------------------------------------------------------------------------- exact-tie servicing
 def tied_workload(seed: int, count: int, start_id: int):
     """A workload whose *content* depends only on ``seed``.
 
     Replicas loaded from the same seed (with disjoint id ranges) evolve
     through identical float chains, so their wake-ups tie at the exact same
-    float instants — the grouped-kernel path's precondition.
+    float instants.  Real continuous fleets essentially never tie, so these
+    synthetic cohorts are what pins the ``(wake, stamp)`` FIFO tie-break.
     """
     rng = np.random.default_rng(seed)
     states = []
@@ -475,54 +448,59 @@ def run_toy_fleet(mode: str, workload_seeds, refill_batches=0, blocks=512,
         }
 
 
+def cross_replica_ties(events) -> int:
+    """Completion instants shared by two or more replicas (exact float ties)."""
+    members = {}
+    for now, replica_id, *_ in events:
+        members.setdefault(now, set()).add(replica_id)
+    return sum(1 for ids in members.values() if len(ids) > 1)
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_grouped_service_exact_ties_bit_identity(grouped_probe, seed):
-    """Identical members wake at exact float ties: whole cohorts must be
-    serviced through the grouped kernel and still match process mode."""
+def test_grouped_service_exact_ties_bit_identity(seed):
+    """Identical members wake at exact float ties: each tied cohort is
+    serviced one member at a time in FIFO order and matches process mode."""
     reference = run_toy_fleet("process", [seed] * 4, refill_batches=2)
     fleet = run_toy_fleet("fleet", [seed] * 4, refill_batches=2)
     assert fleet == reference
-    assert grouped_probe["fused"] >= 1  # the fused cohort path actually ran
-    assert grouped_probe["max_group"] >= 2
+    assert cross_replica_ties(fleet["events"])  # the tie-break actually ran
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_grouped_mixed_ties_and_singles_bit_identity(grouped_probe, seed):
-    """Tied twins interleaved with unique members: groups and singles mix."""
+def test_grouped_mixed_ties_and_singles_bit_identity(seed):
+    """Tied twins interleaved with unique members."""
     reference = run_toy_fleet("process", [seed, seed, seed + 50, seed + 60],
                               refill_batches=1)
     fleet = run_toy_fleet("fleet", [seed, seed, seed + 50, seed + 60],
                           refill_batches=1)
     assert fleet == reference
-    assert grouped_probe["fused"] >= 1
+    assert cross_replica_ties(fleet["events"])
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_grouped_fallback_queued_lanes_bit_identity(grouped_probe, seed):
+def test_grouped_fallback_queued_lanes_bit_identity(seed):
     """A KV pool too small for the cohort leaves waiting queues on every
-    member: the view refuses to fuse and the group degroups, identically."""
+    tied member: admission and preemption run inside the tied services."""
     reference = run_toy_fleet("process", [seed] * 4, blocks=64)
     fleet = run_toy_fleet("fleet", [seed] * 4, blocks=64)
     assert fleet == reference
-    assert grouped_probe["groups"] >= 1
-    assert grouped_probe["fallback"] >= 1  # degrouping actually happened
+    assert cross_replica_ties(fleet["events"])
 
 
-def test_grouped_fallback_slowdown_bit_identity(grouped_probe):
-    """Straggling members are unfusable; a tied cohort of them degroups."""
+def test_grouped_fallback_slowdown_bit_identity():
+    """A tied cohort of straggling members."""
     reference = run_toy_fleet("process", [3] * 4,
                               slowdowns=((0, 2.0), (1, 2.0), (2, 2.0), (3, 2.0)))
     fleet = run_toy_fleet("fleet", [3] * 4,
                           slowdowns=((0, 2.0), (1, 2.0), (2, 2.0), (3, 2.0)))
     assert fleet == reference
-    assert grouped_probe["groups"] >= 1
-    assert grouped_probe["fallback"] >= 1
+    assert cross_replica_ties(fleet["events"])
 
 
-def test_grouped_refill_waits_bit_identity(grouped_probe):
+def test_grouped_refill_waits_bit_identity():
     """Members that drain early park on the refill signal mid-run; later
     refills revive them and the revived cohort re-ties."""
     reference = run_toy_fleet("process", [9] * 3, refill_batches=3)
     fleet = run_toy_fleet("fleet", [9] * 3, refill_batches=3)
     assert fleet == reference
-    assert grouped_probe["fused"] >= 1
+    assert cross_replica_ties(fleet["events"])
