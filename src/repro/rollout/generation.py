@@ -1501,7 +1501,8 @@ class ReplicaBatchView:
 
         Completion side effects (KV free order, completed order, env-set
         appends) land in ascending stacked position, matching the engine's
-        batched finish path lane for lane.
+        :meth:`ReplicaGenerationState._finish_segments` row loop lane for
+        lane.
         """
         idx_l = fidx.tolist()
         rep_l = self._rep[fidx].tolist()
