@@ -48,11 +48,21 @@ class SimulatedEnvironment:
         chains-of-thought help on hard problems) — enough structure for the
         GRPO substrate to have signal without pretending to verify real math.
         """
-        difficulty = trajectory.prompt.difficulty
-        length_bonus = 0.1 * min(1.0, trajectory.generated_tokens / 8192.0)
-        solve_prob = float(np.clip(0.85 - 0.7 * difficulty + length_bonus, 0.02, 0.98))
+        solve_prob = solve_probability(
+            trajectory.prompt.difficulty, trajectory.generated_tokens
+        )
         solved = self._rng.random() < solve_prob
         return 1.0 if solved else -1.0
+
+
+def solve_probability(difficulty: float, generated_tokens: int) -> float:
+    """Probability that a response of ``generated_tokens`` solves the prompt.
+
+    A plain-float clamp to [0.02, 0.98]: scoring runs once per trajectory, so
+    a numpy call here would cost more than the arithmetic it wraps.
+    """
+    length_bonus = 0.1 * min(1.0, generated_tokens / 8192.0)
+    return min(max(0.85 - 0.7 * difficulty + length_bonus, 0.02), 0.98)
 
 
 @dataclass

@@ -73,7 +73,15 @@ from ..types import Trajectory
 _EPS = 1e-9
 
 #: Initial slot / vector capacity of the SoA state (grown geometrically).
-_INITIAL_SLOTS = 64
+_INITIAL_SLOTS = 8
+
+#: The int64 per-slot fields, in row order of the ``(11, capacity)`` slot
+#: block ``ReplicaGenerationState._a_i64``; each name is bound to a row view.
+_I64_FIELDS = (
+    "_a_seg_rem", "_a_gen", "_a_target", "_a_prompt", "_a_ctx",
+    "_a_done_turn", "_a_last_ver", "_a_turn", "_a_nturns", "_a_sched_off",
+    "_a_sched_cap",
+)
 
 
 @dataclass
@@ -387,27 +395,17 @@ class ReplicaGenerationState:
         #: buffer entirely.
         self.trace_samples: Optional[List[Tuple[float, int]]] = None
         self._trace_total = 0
-        # SoA state, indexed by slot id (see _alloc_slot).
+        # SoA state, indexed by slot id (see _alloc_slot).  Free slots pop
+        # lowest first, and growth appends above the old capacity.
         self._slots: Dict[int, int] = {}
-        self._free_slots: List[int] = []
-        self._a_seg_rem = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_gen = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_target = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_prompt = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_ctx = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_done_turn = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
+        self._free_slots: List[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
+        # The int64 fields (decode state, turn cursor, and per-slot views into
+        # the flat turn-schedule pools) are rows of one block, so growth and
+        # cross-replica stacking copy one array; see _I64_FIELDS.
+        self._bind_slot_block(np.zeros((len(_I64_FIELDS), _INITIAL_SLOTS), dtype=np.int64))
         self._a_env = np.full(_INITIAL_SLOTS, math.inf, dtype=np.float64)
-        self._a_last_ver = np.full(_INITIAL_SLOTS, -1, dtype=np.int64)
-        # Control-tail SoA: residency status, turn cursor, and per-slot views
-        # into the flat turn-schedule pools, so segment finishes / env-wait
-        # transitions / admission scans are batch gathers instead of
-        # per-sequence attribute walks.
         self._a_status = np.zeros(_INITIAL_SLOTS, dtype=np.int8)
-        self._a_turn = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_nturns = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
         self._a_reprefill = np.zeros(_INITIAL_SLOTS, dtype=bool)
-        self._a_sched_off = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_sched_cap = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
         #: Flat schedule pools: slot ``s`` owns ``_sched_seg[off:off+cap]``
         #: (segment lengths) and ``_sched_env[...]`` (env latencies), where
         #: ``off = _a_sched_off[s]``.  Regions are reused across the sequences
@@ -418,17 +416,20 @@ class ReplicaGenerationState:
         self._sched_len = 0
 
     # ------------------------------------------------------------------ slots
+    def _bind_slot_block(self, block: np.ndarray) -> None:
+        """Adopt ``block`` as the int64 slot block and rebind its row views."""
+        self._a_i64 = block
+        for name, row in zip(_I64_FIELDS, block):
+            setattr(self, name, row)
+
     def _alloc_slot(self, seq: SequenceState) -> int:
         if not self._free_slots:
-            old = len(self._a_seg_rem)
+            old = self._a_i64.shape[1]
             new = 2 * old
-            for name in ("_a_seg_rem", "_a_gen", "_a_target", "_a_prompt",
-                         "_a_ctx", "_a_done_turn", "_a_status", "_a_turn",
-                         "_a_nturns", "_a_reprefill", "_a_sched_off",
-                         "_a_sched_cap"):
-                setattr(self, name, grow_array(getattr(self, name), new))
+            self._bind_slot_block(grow_array(self._a_i64, new))
             self._a_env = grow_array(self._a_env, new, fill=math.inf)
-            self._a_last_ver = grow_array(self._a_last_ver, new, fill=-1)
+            self._a_status = grow_array(self._a_status, new)
+            self._a_reprefill = grow_array(self._a_reprefill, new)
             self._free_slots.extend(range(new - 1, old - 1, -1))
         slot = self._free_slots.pop()
         trajectory = seq.trajectory
@@ -1131,19 +1132,19 @@ class ReplicaBatchView:
         counts = nd + ne
         S = int(counts.sum())
         srep = np.repeat(np.arange(K, dtype=np.int64), counts)
-        # Stacked per-sequence state: one gather per field over the
-        # concatenation of every lane's slot arrays (the concatenate walks
-        # lanes at C level; nothing here is per-replica Python).
+        # Stacked per-sequence state: the lanes' int64 slot blocks side by
+        # side, one fancy index for all eleven fields, plus one gather for the
+        # env timers (the concatenates walk lanes at C level; nothing here is
+        # per-replica Python).
         slot_base = np.zeros(K, dtype=np.int64)
-        np.cumsum([len(r._a_seg_rem) for r in reps[:-1]], out=slot_base[1:])
+        np.cumsum([r._a_i64.shape[1] for r in reps[:-1]], out=slot_base[1:])
         lslot = np.concatenate(
             [v for r in reps for v in (r._dec.slots_view(), r._env.slots_view())]
         )
         gslot = lslot + slot_base[srep]
-
-        def gather(name: str) -> np.ndarray:
-            return np.concatenate([getattr(r, name) for r in reps])[gslot]
-
+        fields = dict(zip(
+            _I64_FIELDS, np.concatenate([r._a_i64 for r in reps], axis=1)[:, gslot]
+        ))
         self._rep = srep
         self._slot = lslot.copy()
         self._sid = np.concatenate(
@@ -1152,16 +1153,16 @@ class ReplicaBatchView:
         self._row = np.concatenate(
             [v for r in reps for v in (r._dec.rows_view(), r._env.rows_view())]
         )
-        self._seg = gather("_a_seg_rem")
-        self._gen = gather("_a_gen")
-        self._tgt = gather("_a_target")
-        self._prm = gather("_a_prompt")
-        self._dnt = gather("_a_done_turn")
-        self._trn = gather("_a_turn")
-        self._ntr = gather("_a_nturns")
-        self._soff = gather("_a_sched_off")
-        self._envt = gather("_a_env")
-        self._lvr = gather("_a_last_ver")
+        self._seg = fields["_a_seg_rem"]
+        self._gen = fields["_a_gen"]
+        self._tgt = fields["_a_target"]
+        self._prm = fields["_a_prompt"]
+        self._dnt = fields["_a_done_turn"]
+        self._trn = fields["_a_turn"]
+        self._ntr = fields["_a_nturns"]
+        self._soff = fields["_a_sched_off"]
+        self._lvr = fields["_a_last_ver"]
+        self._envt = np.concatenate([r._a_env for r in reps])[gslot]
         row_base = np.zeros(K, dtype=np.int64)
         np.cumsum([len(r.kvcache._tokens) for r in reps[:-1]], out=row_base[1:])
         self._kvt = np.concatenate([r.kvcache._tokens for r in reps])[

@@ -22,6 +22,7 @@ from ..llm.model_spec import ModelSpec
 from ..rollout.environment import SimulatedEnvironment, TrajectoryFactory
 from ..rollout.generation import ReplicaGenerationState
 from ..rollout.replica_config import RolloutReplicaConfig
+from ..sim.kvcache import KVCacheConfig
 from ..trainer.trainer import Trainer
 from ..workload.datasets import PromptDataset, TaskSpec
 
@@ -54,6 +55,9 @@ class WorkloadBundle:
     buffer: ExperienceBuffer
     replica_config: RolloutReplicaConfig
     decode_model: DecodeModel
+    #: ``replica_config.kvcache_config()``, sized once and shared (read-only)
+    #: by every replica of the workload.
+    kvcache_config: KVCacheConfig
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "WorkloadBundle":
@@ -81,6 +85,7 @@ class WorkloadBundle:
             buffer=ExperienceBuffer(seed=config.seed + 4),
             replica_config=replica_config,
             decode_model=replica_config.decode_model(),
+            kvcache_config=replica_config.kvcache_config(),
         )
 
     def make_replica(self, replica_id: int, weight_version: int = 0) -> ReplicaGenerationState:
@@ -96,7 +101,7 @@ class WorkloadBundle:
         replica = ReplicaGenerationState(
             replica_id=replica_id,
             decode_model=self.decode_model,
-            kvcache_config=self.replica_config.kvcache_config(),
+            kvcache_config=self.kvcache_config,
             max_concurrency=self.config.max_concurrency_per_replica,
             weight_version=weight_version,
         )

@@ -32,7 +32,7 @@ DEFAULT_BLOCK_SIZE = 16
 DEFAULT_C_MAX = 0.99
 
 #: Initial row capacity of the SoA ledger (grown geometrically).
-_INITIAL_CAPACITY = 64
+_INITIAL_CAPACITY = 8
 
 
 class KVCacheError(RuntimeError):
@@ -40,14 +40,14 @@ class KVCacheError(RuntimeError):
 
 
 def grow_array(array: np.ndarray, capacity: int, fill=0) -> np.ndarray:
-    """Return ``array`` re-homed in a ``capacity``-sized buffer of ``fill``.
+    """Return ``array`` re-homed in a buffer of ``fill`` whose last axis is ``capacity``.
 
     Shared by every geometric grow-and-copy site of the SoA state (the
-    KVCache ledger, the replica slot arrays, the decode/env-wait vectors) so
-    the growth policy lives in one place.
+    KVCache ledger, the replica slot arrays and int64 slot block, the
+    decode/env-wait vectors) so the growth policy lives in one place.
     """
-    grown = np.full(capacity, fill, dtype=array.dtype)
-    grown[: len(array)] = array
+    grown = np.full(array.shape[:-1] + (capacity,), fill, dtype=array.dtype)
+    grown[..., : array.shape[-1]] = array
     return grown
 
 

@@ -85,7 +85,7 @@ class PartialRollout(System):
         """
         if self._target_inflight:
             return self._target_inflight
-        kv_tokens = self.replica_config.kvcache_config().total_tokens
+        kv_tokens = self.workload.kvcache_config.total_tokens
         mean_reserved = self.task.length_dist.mean() + 512.0
         capacity = max(1, int(kv_tokens / mean_reserved))
         self._target_inflight = min(

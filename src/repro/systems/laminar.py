@@ -129,7 +129,7 @@ class LaminarSystem(System):
             context_length=int(self.task.length_dist.mean()) + 512, slack=2.0
         )
         self.manager = RolloutManager(
-            c_max=self.replica_config.kvcache_config().c_max,
+            c_max=self.workload.kvcache_config.c_max,
             batch_bound=max(8, batch_bound),
             repack_interval=config.repack_interval,
             recovery=self.recovery,
@@ -196,7 +196,7 @@ class LaminarSystem(System):
 
     def _compute_per_replica_batch(self) -> int:
         """Per-replica prompt batch: saturate the KVCache with a waiting queue."""
-        kv_tokens = self.replica_config.kvcache_config().total_tokens
+        kv_tokens = self.workload.kvcache_config.total_tokens
         mean_reserved = self.task.length_dist.mean() + 512.0
         capacity = max(1, int(kv_tokens / mean_reserved))
         return int(min(self.config.max_concurrency_per_replica, max(capacity * 1.5, 8)))

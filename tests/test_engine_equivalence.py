@@ -488,6 +488,58 @@ def test_batch_view_interleaves_with_direct_stepping():
             assert_engines_identical(scalar, vector)
 
 
+def test_batch_view_stacks_lanes_of_mixed_widths():
+    """Lanes whose slot blocks and KV ledgers have different widths stack at
+    the right per-lane offsets: one lane grown past the initial width, one
+    that reuses freed slots, one fresh.  The view drains == to the scalar
+    per-replica router."""
+    from repro.rollout import ReplicaBatchView, ScalarReplicaBatchView
+    from repro.rollout.generation import _INITIAL_SLOTS
+
+    fleets = [make_engines(blocks=4096, max_concurrency=64) for _ in range(3)]
+    scalars = [scalar for scalar, _ in fleets]
+    vectors = [vector for _, vector in fleets]
+
+    def add(lane, count, start_id):
+        scalars[lane].add_sequences(make_states(40 + lane, count, start_id))
+        vectors[lane].add_sequences(make_states(40 + lane, count, start_id))
+
+    add(0, 3 * _INITIAL_SLOTS + 1, 0)  # grown: 4x the initial width
+    add(1, _INITIAL_SLOTS + 2, 1000)  # reuse: finish one, then refill
+    before = dict(vectors[1]._slots)
+    while len(vectors[1]._slots) == len(before):
+        delta = scalars[1].next_event_in()
+        assert vectors[1].next_event_in() == delta
+        assert_completions_identical(scalars[1].advance(delta), vectors[1].advance(delta))
+    freed = {slot for seq_id, slot in before.items() if seq_id not in vectors[1]._slots}
+    add(1, len(freed), 2000)
+    assert freed <= set(vectors[1]._slots.values())
+    add(2, 3, 3000)  # fresh
+    widths = [v._a_i64.shape[1] for v in vectors]
+    assert widths == [4 * _INITIAL_SLOTS, 2 * _INITIAL_SLOTS, _INITIAL_SLOTS]
+    assert len({len(v.kvcache._tokens) for v in vectors}) == 3
+
+    first = True
+    while any(r.num_sequences for r in scalars):
+        positions = [i for i, r in enumerate(scalars) if r.num_sequences]
+        scalar_view = ScalarReplicaBatchView(scalars)
+        vector_view = ReplicaBatchView(vectors)
+        if first:
+            assert vector_view.num_fused == 3
+            first = False
+        deltas = scalar_view.next_event_in_many(positions)
+        assert vector_view.next_event_in_many(positions) == deltas
+        dts = [d * 1.3 for d in deltas]
+        scalar_done = scalar_view.advance_many(positions, dts)
+        vector_done = vector_view.advance_many(positions, dts)
+        scalar_view.settle()
+        vector_view.settle()
+        for s_done, v_done in zip(scalar_done, vector_done):
+            assert_completions_identical(s_done, v_done)
+        for scalar, vector in zip(scalars, vectors):
+            assert_engines_identical(scalar, vector)
+
+
 def test_kvcache_rows_stay_valid_across_frees():
     from repro.sim import KVCache
 

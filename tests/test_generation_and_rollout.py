@@ -108,6 +108,65 @@ def test_interrupted_advance_preserves_token_accounting():
     assert replica.stats.tokens_generated == total_target
 
 
+# --------------------------------------------------------------------------- slot sizing
+def test_fresh_replica_uses_initial_slots_before_growing():
+    """A fresh replica hands out slots 0.._INITIAL_SLOTS-1 before it grows,
+    and the next sequence doubles the slot block and KV ledger exactly once."""
+    from repro.rollout.generation import _INITIAL_SLOTS
+    from repro.sim.kvcache import _INITIAL_CAPACITY
+
+    replica = make_replica()
+    replica.add_sequences(make_states([50] * _INITIAL_SLOTS))
+    assert replica.num_decoding == _INITIAL_SLOTS
+    assert replica._a_i64.shape[1] == _INITIAL_SLOTS
+    assert sorted(replica._slots.values()) == list(range(_INITIAL_SLOTS))
+    assert _INITIAL_CAPACITY == _INITIAL_SLOTS
+    assert sorted(replica._dec.rows_view().tolist()) == list(range(_INITIAL_CAPACITY))
+    assert len(replica.kvcache._tokens) == _INITIAL_CAPACITY
+
+    replica.add_sequences(make_states([50], start_id=_INITIAL_SLOTS))
+    width = 2 * _INITIAL_SLOTS
+    assert replica._slots[_INITIAL_SLOTS] == _INITIAL_SLOTS
+    assert replica._a_i64.shape == (11, width)
+    assert len(replica._a_env) == len(replica._a_status) == len(replica._a_reprefill) == width
+    assert replica._a_gen.base is replica._a_i64  # row views rebound to the new block
+    assert len(replica.kvcache._tokens) == 2 * _INITIAL_CAPACITY
+
+
+def test_large_first_intake_grows_geometrically_and_matches_scalar():
+    from repro.rollout import ScalarReplicaGenerationState
+    from repro.rollout.generation import _INITIAL_SLOTS
+
+    count = 3 * _INITIAL_SLOTS + 1
+    lengths = [40 + 17 * (i % 9) for i in range(count)]
+    config = RolloutReplicaConfig(QWEN_7B, tensor_parallel=1)
+    kwargs = dict(
+        replica_id=0, decode_model=config.decode_model(),
+        kvcache_config=KVCacheConfig(total_blocks=4096), max_concurrency=64,
+    )
+    scalar = ScalarReplicaGenerationState(**kwargs)
+    vector = ReplicaGenerationState(**kwargs)
+    scalar.add_sequences(make_states(lengths))
+    vector.add_sequences(make_states(lengths))
+    assert vector.num_decoding == count
+    assert vector._a_i64.shape[1] == 4 * _INITIAL_SLOTS
+    assert sorted(vector._slots.values()) == list(range(count))
+    assert len(vector.kvcache._tokens) == 4 * _INITIAL_SLOTS
+    while not scalar.is_idle:
+        delta = scalar.next_event_in()
+        assert vector.next_event_in() == delta
+        s_done, v_done = scalar.advance(delta), vector.advance(delta)
+        assert [(t.traj_id, t.finish_time, t.generated_tokens) for t in s_done] == [
+            (t.traj_id, t.finish_time, t.generated_tokens) for t in v_done
+        ]
+        assert scalar.clock == vector.clock
+        assert scalar.stats == vector.stats
+        assert scalar.kvcache.used_blocks == vector.kvcache.used_blocks
+        assert scalar.kvcache.peak_blocks == vector.kvcache.peak_blocks
+    assert vector.is_idle and vector.kvcache.used_blocks == 0
+    assert vector.stats.trajectories_completed == count
+
+
 def test_kvcache_queueing_and_preemption_free_progress():
     # Tiny cache: only ~2 sequences fit concurrently; the rest wait.
     replica = make_replica(blocks=64)
@@ -210,6 +269,31 @@ def test_environment_scoring_rewards_are_binary_and_difficulty_sensitive():
         hard_rewards.append(env.score(t_hard))
     assert set(easy_rewards) <= {-1.0, 1.0}
     assert np.mean(easy_rewards) > np.mean(hard_rewards)
+
+
+def test_solve_probability_clamp_matches_numpy_clip():
+    """The plain-float clamp equals the np.clip formula, both edges included,
+    and scoring still draws exactly one random() per trajectory."""
+    from repro.rollout.environment import solve_probability
+
+    grid = []
+    for difficulty in (-0.5, -0.05, 0.0, 0.05, 0.3, 0.5, 0.95, 1.0, 1.2, 1.5):
+        for tokens in (0, 1, 100, 4096, 8191, 8192, 20000):
+            expected = float(np.clip(
+                0.85 - 0.7 * difficulty + 0.1 * min(1.0, tokens / 8192.0), 0.02, 0.98
+            ))
+            got = solve_probability(difficulty, tokens)
+            assert type(got) is float and got == expected, (difficulty, tokens)
+            grid.append((difficulty, tokens, expected))
+    assert {0.02, 0.98} <= {p for _, _, p in grid}
+
+    env = SimulatedEnvironment(math_task("7B"), seed=3)
+    replay = np.random.default_rng(3)
+    for traj_id, (difficulty, tokens, expected) in enumerate(grid):
+        prompt = Prompt(prompt_id=traj_id, group_id=0, prompt_tokens=64, difficulty=difficulty)
+        trajectory = Trajectory(traj_id=traj_id, prompt=prompt, target_tokens=max(tokens, 1))
+        trajectory.generated_tokens = tokens
+        assert env.score(trajectory) == (1.0 if replay.random() < expected else -1.0)
 
 
 def test_build_sequence_states_alignment_check():
