@@ -116,7 +116,8 @@ def replica_batch_cycle(
     dataset = PromptDataset(task, seed=seed)
     factory = TrajectoryFactory(task, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
-    prompts = dataset.sample_batch(max(1, -(-batch_size // task.group_size)), rng)[:batch_size]
+    prompts = dataset.sample_batch(max(1, -(-batch_size // task.group_size)), rng,
+                                   limit=batch_size)
     states = factory.make(prompts)
     replica = _make_replica(config, replica_config)
     replica.add_sequences(states)
@@ -261,7 +262,8 @@ def continuous_replica_rate(
     while replica.clock < horizon:
         deficit = target - replica.num_sequences
         if deficit > 0:
-            prompts = dataset.sample_batch(max(1, -(-deficit // task.group_size)), rng)[:deficit]
+            prompts = dataset.sample_batch(max(1, -(-deficit // task.group_size)), rng,
+                                           limit=deficit)
             replica.add_sequences(factory.make(prompts))
         delta = replica.next_event_in()
         if delta is None:

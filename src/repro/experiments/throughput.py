@@ -15,8 +15,10 @@ component measurements from the same generation engine:
   R_eff(T) = R_continuous * (1 - T_reprefill / T), because every weight update
   interrupts all replicas and re-prefills every in-flight trajectory.
 
-Both compositions are documented in DESIGN.md and validated against the full
-event-driven :class:`~repro.systems.laminar.LaminarSystem` in the test suite.
+Both compositions are estimates, documented only here.  No test checks them
+against the event-driven :class:`~repro.systems.laminar.LaminarSystem` or
+:class:`~repro.systems.areal.PartialRollout`, and a short event-driven run of
+either system can land well above or below its estimate.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ Prefill is compute-bound and costed from FLOPs directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +45,12 @@ class DecodeModel:
             raise ValueError("tensor_parallel must be positive")
 
     # -- effective hardware rates ------------------------------------------------
-    @property
+    @cached_property
     def effective_bandwidth(self) -> float:
         """Aggregate usable HBM bandwidth across the TP group (bytes/s)."""
         return self.gpu.hbm_bandwidth * self.gpu.membw_efficiency * self.tensor_parallel
 
-    @property
+    @cached_property
     def effective_flops(self) -> float:
         """Aggregate usable FLOP/s across the TP group."""
         return self.gpu.peak_flops_bf16 * self.gpu.mfu * self.tensor_parallel
@@ -161,6 +162,22 @@ class DecodeModel:
             return 0.0
         flops = batch_size * prompt_tokens * self.model.flops_per_token(prompt_tokens // 2)
         return flops / self.effective_flops + PREFILL_OVERHEAD
+
+    def prefill_time_many(self, prompt_tokens: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`prefill_time` at ``batch_size=1`` over many prompts.
+
+        Bit-identical to the scalar method lane for lane: each lane computes
+        ``t * (2.0*N + 4.0*L*H*(t//2)) / flops + PREFILL_OVERHEAD`` with the
+        scalar method's association and int->float conversion points, and
+        lanes with ``t == 0`` return 0.0.  ``prompt_tokens`` must be
+        non-negative integers.
+        """
+        tokens = np.asarray(prompt_tokens, dtype=np.int64)
+        model = self.model
+        per_token = (2.0 * model.num_parameters
+                     + 4.0 * model.num_layers * model.hidden_size * (tokens // 2))
+        value = tokens * per_token / self.effective_flops + PREFILL_OVERHEAD
+        return np.where(tokens > 0, value, 0.0)
 
     def reprefill_time(self, cached_tokens: int) -> float:
         """Cost of rebuilding the KVCache for one interrupted trajectory.

@@ -9,6 +9,7 @@ weight-transfer volumes and training FLOPs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 #: Bytes per parameter / activation element in BF16.
@@ -32,11 +33,11 @@ class ModelSpec:
     dtype_bytes: int = BF16_BYTES
 
     # -- derived sizes --------------------------------------------------------
-    @property
+    @cached_property
     def head_dim(self) -> int:
         return self.hidden_size // self.num_attention_heads
 
-    @property
+    @cached_property
     def attention_params(self) -> int:
         """Per-layer attention parameters (GQA: separate KV head count)."""
         q = self.hidden_size * self.hidden_size
@@ -44,33 +45,33 @@ class ModelSpec:
         out = self.hidden_size * self.hidden_size
         return q + kv + out
 
-    @property
+    @cached_property
     def mlp_params(self) -> int:
         """Per-layer gated-MLP parameters (gate, up, down projections)."""
         return 3 * self.hidden_size * self.intermediate_size
 
-    @property
+    @cached_property
     def layer_params(self) -> int:
         # Two RMSNorm weight vectors per layer.
         return self.attention_params + self.mlp_params + 2 * self.hidden_size
 
-    @property
+    @cached_property
     def embedding_params(self) -> int:
         return self.vocab_size * self.hidden_size
 
-    @property
+    @cached_property
     def num_parameters(self) -> int:
         """Total parameter count (tied LM head excluded; Qwen2.5 unties >7B)."""
         lm_head = self.vocab_size * self.hidden_size
         return self.num_layers * self.layer_params + self.embedding_params + lm_head
 
-    @property
+    @cached_property
     def weight_bytes(self) -> float:
         """Size of the full model weights in the serving dtype."""
         return float(self.num_parameters) * self.dtype_bytes
 
     # -- KVCache ---------------------------------------------------------------
-    @property
+    @cached_property
     def kv_bytes_per_token(self) -> float:
         """KVCache bytes for one token of one sequence (full model)."""
         return float(

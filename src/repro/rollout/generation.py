@@ -102,9 +102,9 @@ class TurnSchedule:
             raise ValueError("a turn schedule needs at least one segment")
         if len(self.env_latencies) != len(self.segments):
             raise ValueError("env_latencies must have one entry per segment")
-        if any(s <= 0 for s in self.segments):
+        if min(self.segments) <= 0:
             raise ValueError("segments must be positive")
-        if any(l < 0 for l in self.env_latencies):
+        if min(self.env_latencies) < 0:
             raise ValueError("env latencies must be non-negative")
 
     @property
@@ -257,7 +257,7 @@ class _SeqVector:
         return self.rows[: self.n]
 
     def ids_list(self) -> List[int]:
-        return [int(x) for x in self.ids[: self.n]]
+        return self.ids[: self.n].tolist()
 
     def delete_positions(self, positions: Sequence[int]) -> None:
         """Delete the entries at ``positions``, preserving the order of the rest."""
@@ -729,7 +729,7 @@ class ReplicaGenerationState:
 
     def _release_env_returns(self) -> None:
         env = self._env
-        if not env.n:
+        if not env.n or self._earliest_env_return() > self.clock + _EPS:
             return
         ready = self._a_env[env.slots_view()] <= self.clock + _EPS
         if not ready.any():
@@ -972,25 +972,21 @@ class ReplicaGenerationState:
         pause-and-sync cycle (§2.3): after a weight update, every interrupted
         trajectory must rebuild its KVCache before decoding can continue.
         """
-        self._sync_all()
-        inflight = [
-            self._sequences[sid]
-            for sid in self._dec.ids_list() + self._env.ids_list()
-        ]
-        total_context = sum(seq.context_tokens for seq in inflight)
+        slots = np.concatenate((self._dec.slots_view(), self._env.slots_view()))
+        context = self._a_prompt[slots] + np.minimum(self._a_target[slots], self._a_gen[slots])
+        total_context = int(context.sum())
         if total_context == 0:
             return 0.0
         # Each interrupted trajectory re-prefills its own context; the engine
         # batches these prefills, so the cost is the sum of per-sequence
         # prefill compute (attention cost is quadratic per sequence, not over
-        # the concatenation).
-        stall = sum(
-            self.decode_model.prefill_time(seq.context_tokens, batch_size=1)
-            for seq in inflight
-        )
+        # the concatenation).  ``sum`` over the list adds left to right, in
+        # decode-then-env order, like the scalar engine.
+        stall = sum(self.decode_model.prefill_time_many(context).tolist())
         self.stats.reprefill_tokens += total_context
-        for seq in inflight:
-            seq.trajectory.reprefill_count += 1
+        sequences = self._sequences
+        for seq_id in self._dec.ids_list() + self._env.ids_list():
+            sequences[seq_id].trajectory.reprefill_count += 1
         self.inject_stall(stall, busy=True)
         return stall
 

@@ -48,6 +48,7 @@ class _ContinuousFleet(ReplicaFleet):
     def on_advance(self, replica: ReplicaGenerationState, completed: List[Trajectory]) -> None:
         system = self.system
         if completed:
+            system._in_flight -= len(completed)
             system.score_and_buffer(completed, system.trainer.weight_version)
             if system.buffer.can_sample(system.config.global_batch_size):
                 self.notify_data()
@@ -75,6 +76,11 @@ class PartialRollout(System):
         super().__init__(config)
         self.replicas: List[ReplicaGenerationState] = []
         self._target_inflight = 0
+        #: Sequences held by ``replicas``.  AReaL has no repack and no
+        #: failover, so membership changes only in ``_top_up`` (adds) and in
+        #: ``_ContinuousFleet.on_advance`` (completions), which every
+        #: ``advance`` goes through.
+        self._in_flight = 0
 
     # ------------------------------------------------------------------ helpers
     def _concurrency_target(self) -> int:
@@ -94,7 +100,8 @@ class PartialRollout(System):
         return self._target_inflight
 
     def _run_ahead_budget(self) -> int:
-        return self.run_ahead_budget(self.replicas, self._concurrency_target())
+        return self.run_ahead_budget(self._in_flight, len(self.replicas),
+                                     self._concurrency_target())
 
     def _top_up(self, replica: ReplicaGenerationState) -> None:
         deficit = self._concurrency_target() - replica.num_sequences
@@ -102,10 +109,11 @@ class PartialRollout(System):
         if deficit <= 0:
             return
         prompts = self.dataset.sample_batch(
-            max(1, -(-deficit // self.task.group_size)), self.rng
-        )[:deficit]
+            max(1, -(-deficit // self.task.group_size)), self.rng, limit=deficit
+        )
         states = self.factory.make(prompts, weight_version=replica.weight_version)
         replica.add_sequences(states)
+        self._in_flight += len(states)
 
     # ------------------------------------------------------------------ main loop
     def build(self, env: Environment, result: SystemRunResult,

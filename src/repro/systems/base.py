@@ -157,15 +157,16 @@ class System(ABC):
             self._next_replica_id += 1
         return replicas
 
-    def run_ahead_budget(self, replicas: Sequence[ReplicaGenerationState],
+    def run_ahead_budget(self, in_flight: int, num_replicas: int,
                          per_replica_target: int) -> int:
         """Trajectories that may still be admitted under the run-ahead cap.
 
-        The cap never starves the natural generation pipeline: every replica
-        can always hold (a bit more than) its own per-replica target.
+        ``in_flight`` counts the sequences held by the ``num_replicas``
+        generation replicas.  The cap never starves the natural generation
+        pipeline: every replica can always hold (a bit more than) its own
+        per-replica target.
         """
-        in_flight = sum(r.num_sequences for r in replicas)
-        pipeline_floor = int(1.25 * len(replicas) * per_replica_target)
+        pipeline_floor = int(1.25 * num_replicas * per_replica_target)
         cap = max(int(self.run_ahead_batches * self.config.global_batch_size),
                   pipeline_floor)
         return max(0, cap - in_flight - len(self.buffer))

@@ -202,7 +202,10 @@ class LaminarSystem(System):
         return int(min(self.config.max_concurrency_per_replica, max(capacity * 1.5, 8)))
 
     def _run_ahead_budget(self) -> int:
-        return self.run_ahead_budget(list(self.replicas.values()), self._per_replica_batch)
+        # Failover and repack move sequences between replicas, so count them here.
+        replicas = self.replicas.values()
+        in_flight = sum(replica.num_sequences for replica in replicas)
+        return self.run_ahead_budget(in_flight, len(replicas), self._per_replica_batch)
 
     # ------------------------------------------------------------------ replica intake
     def _refill_replica(self, replica: ReplicaGenerationState, now: float) -> bool:
@@ -225,8 +228,8 @@ class LaminarSystem(System):
         replica.set_weight_version(max(replica.weight_version, pull.version))
         replica.inject_stall(pull.wait_time, busy=True)
         prompts = self.dataset.sample_batch(
-            max(1, -(-count // self.task.group_size)), self.rng
-        )[:count]
+            max(1, -(-count // self.task.group_size)), self.rng, limit=count
+        )
         states = self.factory.make(prompts, weight_version=replica.weight_version,
                                    start_time=now)
         replica.add_sequences(states)

@@ -11,7 +11,7 @@ and a multi-turn flag with a turn budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -99,27 +99,45 @@ class PromptDataset:
     def difficulty(self, question_index: int) -> float:
         return float(self._difficulties[question_index % self.num_questions])
 
-    def sample_batch(self, num_prompts: int, rng: np.random.Generator) -> List[Prompt]:
-        """Sample ``num_prompts`` questions, each replicated ``group_size`` times."""
+    def sample_batch(self, num_prompts: int, rng: np.random.Generator,
+                     limit: Optional[int] = None) -> List[Prompt]:
+        """Sample ``num_prompts`` questions, each replicated ``group_size`` times.
+
+        With ``limit`` only the first ``limit`` prompts are built, equal to
+        ``sample_batch(num_prompts, rng)[:limit]``: the RNG draw and the
+        prompt and group ids advance as if every group were built.
+        """
         if num_prompts <= 0:
             raise ValueError("num_prompts must be positive")
+        group_size = self.task.group_size
+        total = num_prompts * group_size
+        if limit is None:
+            limit = total
+        elif not 0 < limit <= total:
+            raise ValueError(f"limit must be in [1, {total}]")
         indices = rng.integers(0, self.num_questions, num_prompts)
+        kept = indices[: -(-limit // group_size)]
+        lengths = self._prompt_lengths[kept].tolist()
+        difficulties = self._difficulties[kept].tolist()
+        multi_turn, max_turns = self.task.multi_turn, self.task.max_turns
         prompts: List[Prompt] = []
-        for index in indices:
-            group_id = self._next_group_id
-            self._next_group_id += 1
-            for _ in range(self.task.group_size):
+        prompt_id, group_id = self._next_prompt_id, self._next_group_id
+        for tokens, difficulty in zip(lengths, difficulties):
+            for _ in range(min(group_size, limit - len(prompts))):
                 prompts.append(
                     Prompt(
-                        prompt_id=self._next_prompt_id,
+                        prompt_id=prompt_id,
                         group_id=group_id,
-                        prompt_tokens=int(self._prompt_lengths[index]),
-                        difficulty=float(self._difficulties[index]),
-                        multi_turn=self.task.multi_turn,
-                        max_turns=self.task.max_turns,
+                        prompt_tokens=tokens,
+                        difficulty=difficulty,
+                        multi_turn=multi_turn,
+                        max_turns=max_turns,
                     )
                 )
-                self._next_prompt_id += 1
+                prompt_id += 1
+            group_id += 1
+        self._next_prompt_id += total
+        self._next_group_id += num_prompts
         return prompts
 
     def iter_batches(self, num_prompts: int, rng: np.random.Generator) -> Iterator[List[Prompt]]:

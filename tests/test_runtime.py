@@ -14,6 +14,7 @@ from repro.runtime import (
     GlobalWeightSync,
     RelayWeightSync,
     WorkloadBundle,
+    stepping,
 )
 from repro.sim import Environment
 
@@ -185,3 +186,25 @@ def test_areal_event_driven_continuous_generation():
     ends = [r.end_time for r in result.iterations]
     assert ends == sorted(ends)
     assert any(e % 20.0 > 1e-6 for e in ends)  # the old 20 s round is gone
+
+
+@pytest.mark.parametrize("mode", ["fleet", "process"])
+def test_areal_in_flight_counter_matches_replica_sequences(mode):
+    """AReaL counts its in-flight sequences incrementally; on every top-up
+    the count equals what the replicas hold."""
+    system = make_system(quick_config("areal", iters=3))
+    top_up = system._top_up
+    checked = []
+
+    def checked_top_up(replica):
+        assert system._in_flight == sum(r.num_sequences for r in system.replicas)
+        top_up(replica)
+        assert system._in_flight == sum(r.num_sequences for r in system.replicas)
+        checked.append(replica.replica_id)
+
+    system._top_up = checked_top_up
+    with stepping(mode):
+        result = system.run()
+    assert len(result.iterations) == 3
+    assert len(checked) > len(system.replicas)
+    assert system._in_flight > 0

@@ -1,7 +1,10 @@
 """Tests for the network, cluster, KVCache and LLM cost-model substrates."""
 
+import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.llm import (
@@ -172,6 +175,39 @@ def test_prefill_and_reprefill_costs():
     assert decode.prefill_time(0) == 0.0
     assert decode.prefill_time(2048) > 0.0
     assert decode.reprefill_time(4096) > decode.reprefill_time(1024)
+
+
+@pytest.mark.parametrize("model", [QWEN_7B, QWEN_32B, QWEN_72B], ids=lambda m: m.name)
+@pytest.mark.parametrize("tensor_parallel", [1, 2, 4, 8])
+def test_prefill_time_many_matches_scalar_bit_for_bit(model, tensor_parallel):
+    decode = DecodeModel(model, tensor_parallel=tensor_parallel)
+    tokens = [0, 1, 2, 63, 64, 511, 4097, 32768]
+    many = decode.prefill_time_many(np.array(tokens, dtype=np.int64)).tolist()
+    assert many == [decode.prefill_time(t, 1) for t in tokens]
+
+
+def test_cached_model_constants_keep_identity_and_follow_replace():
+    fresh = dataclasses.replace(QWEN_7B)  # a new instance: nothing cached yet
+    before = hash(QWEN_7B)
+    for name in ("head_dim", "attention_params", "mlp_params", "layer_params",
+                 "embedding_params", "num_parameters", "weight_bytes",
+                 "kv_bytes_per_token"):
+        getattr(QWEN_7B, name)
+    assert hash(QWEN_7B) == before == hash(fresh)
+    assert QWEN_7B == fresh
+    half = dataclasses.replace(QWEN_7B, num_layers=14)
+    assert half.num_parameters == 14 * QWEN_7B.layer_params + 2 * QWEN_7B.embedding_params
+    assert half.num_parameters < QWEN_7B.num_parameters
+    assert half != QWEN_7B
+
+
+def test_decode_model_pickle_round_trip_prices_the_same():
+    decode = DecodeModel(QWEN_32B, tensor_parallel=4)
+    decode.effective_flops, decode.effective_bandwidth  # fill the caches first
+    copy = pickle.loads(pickle.dumps(decode))
+    assert copy == decode and hash(copy) == hash(decode)
+    assert copy.prefill_time(4097) == decode.prefill_time(4097)
+    assert copy.decode_step_time(64, 4096) == decode.decode_step_time(64, 4096)
 
 
 # --------------------------------------------------------------------------- parallelism / training

@@ -83,6 +83,25 @@ def test_prompt_dataset_group_structure():
         assert len({m.difficulty for m in members}) == 1  # same underlying question
 
 
+@pytest.mark.parametrize("task", [math_task("7B"), tool_task("7B")], ids=["math", "tool"])
+def test_sample_batch_limit_builds_the_kept_prefix(task):
+    k, g = 3, task.group_size
+    for limit in (1, g - 1, g, g + 1, k * g):
+        limited = PromptDataset(task, num_questions=100, seed=4)
+        full = PromptDataset(task, num_questions=100, seed=4)
+        rng_limited, rng_full = np.random.default_rng(9), np.random.default_rng(9)
+        kept = limited.sample_batch(k, rng_limited, limit=limit)
+        assert kept == full.sample_batch(k, rng_full)[:limit]
+        assert all(type(p.prompt_tokens) is int and type(p.difficulty) is float for p in kept)
+        assert limited._next_prompt_id == full._next_prompt_id == k * g
+        assert limited._next_group_id == full._next_group_id == k
+        assert rng_limited.integers(0, 1 << 30) == rng_full.integers(0, 1 << 30)
+    dataset = PromptDataset(task, num_questions=100, seed=4)
+    for bad in (0, k * g + 1):
+        with pytest.raises(ValueError):
+            dataset.sample_batch(k, np.random.default_rng(9), limit=bad)
+
+
 def test_tool_task_is_multi_turn():
     task = tool_task("7B", max_turns=8)
     assert task.multi_turn
